@@ -462,9 +462,10 @@ def build_parser():
                               help="run jobs through N supervised "
                                    "long-lived shard processes "
                                    "(heartbeat health checks, quarantine "
-                                   "and respawn) instead of one worker "
-                                   "process per job.  Default: "
-                                   "REPRO_SHARDS, else worker-per-job")
+                                   "and respawn) instead of trace-bound "
+                                   "workers (one process per workload "
+                                   "trace).  Default: REPRO_SHARDS, else "
+                                   "trace-bound workers")
     add_sim_args(suite_parser)
     add_sampling_args(suite_parser)
     suite_parser.set_defaults(func=cmd_suite)

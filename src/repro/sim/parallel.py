@@ -14,11 +14,22 @@ cache interaction in the parent process:
   the cache **incrementally**, so concurrent workers never race on disk
   and an interrupted run keeps everything already finished.
 
-Resilience (one worker process per job, supervised by the parent):
+Trace-bound workers: every worker process is bound to one ``(workload,
+length)`` trace and runs that trace's jobs one at a time, fed by the parent
+over a pipe, so it builds the trace once however many configs or sampled
+intervals it serves.  A free slot first takes a trace no worker is
+serving; once every trace with work left is served, it starts a second
+worker on the trace with the most unstarted jobs per worker (if that trace
+has at least two left), so one-workload sweeps still fill ``--jobs``.  A
+worker exits when its trace has no unstarted jobs left.  The parent
+always knows which job is in flight, so every per-job guarantee below
+holds unchanged:
 
 - **Watchdog**: every job gets a soft wall-clock deadline (``job_timeout``
   / ``REPRO_JOB_TIMEOUT``; default derived from the instruction count; 0
-  disables).  A worker that blows its deadline is killed.
+  disables).  A worker that blows its deadline is killed; only its
+  in-flight job is charged, and its trace's unstarted jobs go to another
+  worker.
 - **Retry with backoff**: crashed or timed-out jobs are retried with a
   fresh worker up to ``retries`` times (``REPRO_JOB_RETRIES``, default 2),
   with exponential backoff (``REPRO_RETRY_BACKOFF`` base seconds, default
@@ -43,7 +54,7 @@ Resilience (one worker process per job, supervised by the parent):
 - **Fault injection**: :mod:`repro.sim.faults` (``REPRO_FAULT``) drives
   every one of these paths deterministically in CI.
 
-``shards=N`` (or ``REPRO_SHARDS``) swaps the worker-per-job fan-out for
+``shards=N`` (or ``REPRO_SHARDS``) swaps the trace-bound fan-out for
 the supervised long-lived shard pool in :mod:`repro.sim.scheduler`
 (heartbeat health checks, quarantine, crash-loop backoff); results are
 byte-identical between the two engines.
@@ -69,6 +80,7 @@ simulation is seeded purely by (workload name, config), and the returned
 mapping is assembled in job order, not completion order.
 """
 
+import gc
 import multiprocessing
 import os
 import shutil
@@ -78,7 +90,7 @@ import tempfile
 import threading
 import time
 import traceback
-from collections import deque
+from collections import Counter, deque
 from multiprocessing.connection import wait as _wait_connections
 
 from repro.obs.export import sort_events, write_jsonl
@@ -180,7 +192,7 @@ def retry_backoff_base():
 
 
 def default_shards():
-    """Shard-pool width: ``REPRO_SHARDS``, or None (worker-per-job)."""
+    """Shard-pool width: ``REPRO_SHARDS``, or None (trace-bound workers)."""
     env = os.environ.get("REPRO_SHARDS")
     if env:
         return max(1, int(env))
@@ -390,21 +402,36 @@ def _run_job(item):
     return key, result.data, time.perf_counter() - started
 
 
-def _job_worker(item, conn):
-    """Child-process wrapper: run the job, report over ``conn``, exit.
+def _trace_worker(conn):
+    """Child-process body: run one trace's jobs until told to stop.
+
+    The parent sends ``_run_job`` items one at a time over ``conn`` and
+    ``None`` once the trace has no unstarted jobs left.  The trace memo
+    (:func:`~repro.workloads.suite.build_workload`) lives in this process,
+    so the trace is built at most once however many jobs the worker runs.
 
     Protocol: ``("ok", key, data, seconds)`` on success, ``("err",
     workload, config_name, detail, root_cause)`` on a handled failure.  A
-    worker that dies without sending anything (hard crash, kill) is
-    detected by the parent as EOF on the pipe.
+    worker that dies without replying (hard crash, kill) is detected by
+    the parent as EOF on the pipe and charged to the job in flight.  A
+    worker whose parent died stops waiting within a second instead of
+    lingering as an orphan.
     """
+    parent = os.getppid()
     try:
-        try:
-            key, data, seconds = _run_job(item)
-            conn.send(("ok", key, data, seconds))
-        except WorkerError as err:
-            conn.send(("err", err.workload, err.config_name, err.detail,
-                       err.root_cause))
+        while True:
+            while not conn.poll(1.0):
+                if os.getppid() != parent:
+                    return
+            item = conn.recv()
+            if item is None:
+                return
+            try:
+                key, data, seconds = _run_job(item)
+                conn.send(("ok", key, data, seconds))
+            except WorkerError as err:
+                conn.send(("err", err.workload, err.config_name, err.detail,
+                           err.root_cause))
     except BaseException:
         pass  # broken pipe / interpreter teardown: parent sees EOF
     finally:
@@ -440,6 +467,24 @@ class _PendingJob(object):
     @property
     def config_name(self):
         return self.job[1].name
+
+    @property
+    def trace_key(self):
+        """The ``(workload, length)`` trace this job runs on."""
+        return self.job[0], self.job[2]
+
+
+class _TraceWorker(object):
+    """Supervisor-side handle on one trace-bound worker process."""
+
+    __slots__ = ("trace_key", "process", "conn", "pj", "deadline")
+
+    def __init__(self, trace_key, process, conn):
+        self.trace_key = trace_key
+        self.process = process
+        self.conn = conn
+        self.pj = None         # the job in flight
+        self.deadline = None   # its watchdog deadline (time.monotonic)
 
 
 class _SignalGuard(object):
@@ -501,8 +546,13 @@ def _stop_worker(process):
 def run_jobs(jobs, cache=None, max_workers=None, progress=None,
              job_timeout=None, retries=None, keep_going=False,
              batch_warm=None, batch_detail=None, shards=None):
-    """Run (workload, config, length, warmup) jobs through the cache and a
-    supervised worker-per-job engine.
+    """Run (workload, config, length, warmup) jobs through the cache and
+    supervised trace-bound workers.
+
+    Cache misses are grouped by ``(workload, length)`` trace; each worker
+    process is bound to one trace and fed that trace's jobs one at a time,
+    so it builds the trace once.  Watchdog, retry, keep-going and signal
+    handling stay per job (see the module docstring).
 
     Args:
         jobs: sequence of ``(workload, config, length, warmup)`` tuples.
@@ -541,9 +591,9 @@ def run_jobs(jobs, cache=None, max_workers=None, progress=None,
             fan-out unchanged.  ``None`` defers to ``REPRO_BATCH_DETAIL``.
         shards: run cache misses through ``shards`` long-lived shard
             processes (:class:`repro.sim.scheduler.ShardPool` — heartbeat
-            health checks, quarantine, crash-loop backoff) instead of one
-            worker process per job.  Byte-identical results.  ``None``
-            defers to ``REPRO_SHARDS`` (unset = worker-per-job).
+            health checks, quarantine, crash-loop backoff) instead of
+            trace-bound workers.  Byte-identical results.  ``None``
+            defers to ``REPRO_SHARDS`` (unset = trace-bound workers).
 
     Returns:
         ``(results, report)`` — ``results`` is a list of
@@ -630,16 +680,10 @@ def run_jobs(jobs, cache=None, max_workers=None, progress=None,
     interval_cells = {}  # cell_key -> {"spec", "interval_keys"}
     work = {}            # key -> 5-tuple handed to _PendingJob
     prewarm = {}         # (name, trace-or-None, length, fp) -> set(positions)
-    restore_only = {}    # (name, length) -> all miss work restores from store
     for key, job in pending.items():
         workload, config, length, warmup, spec = job
-        build_key = (
-            (workload, length) if isinstance(workload, str)
-            else (workload.name, length)
-        )
         if spec is None:
             work[key] = job
-            restore_only[build_key] = False
             continue
         trace_length = length if isinstance(workload, str) else len(workload)
         plan = SamplingPlan(config, trace_length, warmup, spec)
@@ -667,11 +711,7 @@ def run_jobs(jobs, cache=None, max_workers=None, progress=None,
                 else None,
             })
             functional = plan.functionals[i]
-            covered = store is not None and functional > 0
-            restore_only[build_key] = (
-                restore_only.get(build_key, True) and covered
-            )
-            if covered:
+            if store is not None and functional > 0:
                 name = workload if isinstance(workload, str) else workload.name
                 trace = None if isinstance(workload, str) else workload
                 group = prewarm.setdefault(
@@ -862,33 +902,9 @@ def run_jobs(jobs, cache=None, max_workers=None, progress=None,
     workers = max(1, min(max_workers, len(miss_jobs)))
     if shards is not None and miss_jobs:
         workers = max(1, min(shards, len(miss_jobs)))
-    if workers > 1 and start_method() == "fork":
-        # Trace reuse across configs: a matrix run names each workload once
-        # per config, but the trace depends only on (workload, length).
-        # Building every unique trace in the parent *before* the fork lets
-        # all workers inherit the populated build_workload lru_cache via
-        # copy-on-write pages instead of regenerating it per job.
-        unique = {
-            (pj.job[0], pj.job[2]) for pj in miss_jobs
-            if isinstance(pj.job[0], str)
-        }
-        for name, length in sorted(unique):
-            if restore_only.get((name, length)):
-                # Every miss job for this workload restores its warm state
-                # from an existing checkpoint: skip the serial parent-side
-                # build and let the workers build the trace concurrently
-                # (the prewarm pass above never touched it, so there is no
-                # populated lru_cache entry to inherit anyway).
-                continue
-            try:
-                build_workload(name, length=length)
-            except Exception:
-                # Best-effort warm-up only: an invalid job must fail inside
-                # its worker, where it is wrapped in a WorkerError naming
-                # the (workload, config) that died.
-                pass
     fatal = None
     drained = False
+    frozen = False
     try:
         # Parent-side batched detailed lanes: one lockstep engine call per
         # trace group.  Lane failures are deterministic (the scalar core
@@ -998,21 +1014,69 @@ def run_jobs(jobs, cache=None, max_workers=None, progress=None,
                 drained = guard.draining
         elif miss_jobs:
             ctx = multiprocessing.get_context(start_method())
-            queue = deque(miss_jobs)
-            active = {}  # recv_conn -> (pj, process, deadline)
+            unstarted = {}   # trace key -> deque of jobs never attempted
+            for pj in miss_jobs:
+                unstarted.setdefault(pj.trace_key, deque()).append(pj)
+            retry_queue = []  # failed attempts waiting out their backoff
+            active = {}       # conn -> _TraceWorker
+
+            def _send(worker, pj):
+                timeout = resolve_job_timeout(job_timeout, pj.job[2])
+                worker.pj = pj
+                worker.deadline = (time.monotonic() + timeout
+                                   if timeout is not None else None)
+                try:
+                    worker.conn.send((pj.key, pj.job, pj.trace_path,
+                                      pj.index, pj.tries + 1, True))
+                except OSError:
+                    pass  # the worker is dead: EOF charges this attempt
 
             def _launch(pj):
-                recv_conn, send_conn = ctx.Pipe(duplex=False)
-                item = (pj.key, pj.job, pj.trace_path,
-                        pj.index, pj.tries + 1, True)
-                process = ctx.Process(target=_job_worker,
-                                      args=(item, send_conn), daemon=True)
+                conn, child_conn = ctx.Pipe()
+                process = ctx.Process(target=_trace_worker,
+                                      args=(child_conn,), daemon=True)
                 process.start()
-                send_conn.close()
-                timeout = resolve_job_timeout(job_timeout, pj.job[2])
-                deadline = (time.monotonic() + timeout
-                            if timeout is not None else None)
-                active[recv_conn] = (pj, process, deadline)
+                child_conn.close()
+                worker = _TraceWorker(pj.trace_key, process, conn)
+                active[conn] = worker
+                _send(worker, pj)
+
+            def _next_launch(now):
+                """The job a free slot should start a new worker on."""
+                for i, pj in enumerate(retry_queue):
+                    if pj.next_start <= now:
+                        return retry_queue.pop(i)  # a retry: fresh worker
+                left = [key for key, queue in unstarted.items() if queue]
+                serving = Counter(w.trace_key for w in active.values())
+                for key in left:
+                    if not serving[key]:
+                        return unstarted[key].popleft()
+                shared = [key for key in left if len(unstarted[key]) >= 2]
+                if not shared:
+                    return None
+                key = max(shared,
+                          key=lambda k: len(unstarted[k]) / serving[k])
+                return unstarted[key].popleft()
+
+            def _retire(worker, kill=False):
+                del active[worker.conn]
+                if kill:
+                    _stop_worker(worker.process)
+                else:
+                    try:
+                        worker.conn.send(None)
+                    except OSError:
+                        pass
+                    worker.process.join()
+                worker.conn.close()
+
+            def _feed(worker):
+                """Send ``worker`` its trace's next job, or retire it."""
+                queue = unstarted[worker.trace_key]
+                if queue and not guard.draining:
+                    _send(worker, queue.popleft())
+                else:
+                    _retire(worker)
 
             def _fail_attempt(pj, classification, detail, root_cause):
                 nonlocal fatal
@@ -1023,7 +1087,7 @@ def run_jobs(jobs, cache=None, max_workers=None, progress=None,
                 if classification in RETRYABLE and pj.tries <= retries:
                     pj.next_start = (time.monotonic()
                                      + backoff * (2 ** (pj.tries - 1)))
-                    queue.append(pj)
+                    retry_queue.append(pj)
                     if progress:
                         progress(done, total, pj.workload_name,
                                  pj.config_name, 0.0, "retry")
@@ -1034,19 +1098,29 @@ def run_jobs(jobs, cache=None, max_workers=None, progress=None,
                 fatal = WorkerError(pj.workload_name, pj.config_name,
                                     detail, root_cause)
 
+            # Forked workers inherit the parent's GC state; frozen, the
+            # parent's heap is neither scanned by their full collections
+            # nor counted toward the next one.  Released in ``finally``.
+            if ctx.get_start_method() == "fork":
+                gc.freeze()
+                frozen = True
             with _SignalGuard() as guard:
                 drain_deadline = None
-                while (queue or active) and fatal is None \
-                        and not guard.triggered:
+                while ((active or retry_queue or any(unstarted.values()))
+                       and fatal is None and not guard.triggered):
                     now = time.monotonic()
                     if guard.draining:
                         # Graceful drain: launch nothing new, let in-flight
                         # chunks finish (their results commit incrementally
-                        # as usual), mark everything queued as aborted.
+                        # as usual), mark everything not in flight aborted.
                         if drain_deadline is None:
                             drain_deadline = now + drain_timeout_default()
-                        while queue:
-                            pj = queue.popleft()
+                        waiting = retry_queue + [
+                            pj for queue in unstarted.values() for pj in queue]
+                        retry_queue.clear()
+                        for queue in unstarted.values():
+                            queue.clear()
+                        for pj in waiting:
                             _record_aborted(
                                 pj, "SIGTERM drain: job never started"
                                 if pj.tries == 0 else
@@ -1055,74 +1129,72 @@ def run_jobs(jobs, cache=None, max_workers=None, progress=None,
                         if not active:
                             break
                         if now >= drain_deadline:
-                            for conn, (pj, process, _dl) in list(
-                                    active.items()):
-                                del active[conn]
-                                _stop_worker(process)
-                                conn.close()
+                            for worker in list(active.values()):
+                                _retire(worker, kill=True)
                                 _record_aborted(
-                                    pj, "SIGTERM drain: in-flight chunk "
-                                    "exceeded the %.1fs drain deadline; "
-                                    "worker killed" % drain_timeout_default())
+                                    worker.pj, "SIGTERM drain: in-flight "
+                                    "chunk exceeded the %.1fs drain deadline;"
+                                    " worker killed" % drain_timeout_default())
                             break
-                    # Launch every eligible job up to the worker cap.
-                    if not guard.draining:
-                        for _ in range(len(queue)):
-                            if len(active) >= workers:
+                    else:
+                        while len(active) < workers:
+                            pj = _next_launch(now)
+                            if pj is None:
                                 break
-                            pj = queue.popleft()
-                            if pj.next_start <= now:
-                                _launch(pj)
-                            else:
-                                queue.append(pj)  # still backing off
+                            _launch(pj)
                     if not active:
-                        # Everything is backing off: sleep to eligibility
-                        # (capped so SIGINT stays responsive).
-                        soonest = min(pj.next_start for pj in queue)
+                        # Only backing-off retries are left: sleep to
+                        # eligibility (capped so SIGINT stays responsive).
+                        soonest = min(pj.next_start for pj in retry_queue)
                         time.sleep(min(max(soonest - now, 0.0), 0.05))
                         continue
                     # Short timeout: the wait doubles as the poll tick for
-                    # deadlines, backoff eligibility, and the SIGINT flag.
+                    # deadlines, backoff eligibility, and the signal flags.
                     for conn in _wait_connections(list(active), timeout=0.05):
-                        pj, process, _deadline = active.pop(conn)
+                        worker = active[conn]
+                        pj = worker.pj
                         try:
                             message = conn.recv()
                         except (EOFError, OSError):
                             message = None
-                        conn.close()
-                        process.join()
-                        if message is not None and message[0] == "ok":
-                            _record_success(pj, message[2], message[3])
-                        elif message is not None:
-                            _, _wl, _cfg, detail, root_cause = message
-                            _fail_attempt(
-                                pj, classify_failure(detail, root_cause),
-                                detail, root_cause)
-                        else:
+                        if message is None:
+                            worker.process.join()  # for its exit code
+                            _retire(worker, kill=True)
                             _fail_attempt(
                                 pj, CLASS_CRASH,
                                 "worker process died without a result "
                                 "(exit code %s) on attempt %d"
-                                % (process.exitcode, pj.tries + 1), None)
-                    now = time.monotonic()
-                    for conn, (pj, process, deadline) in list(active.items()):
-                        if deadline is not None and now >= deadline:
-                            del active[conn]
-                            _stop_worker(process)
-                            conn.close()
+                                % (worker.process.exitcode, pj.tries + 1),
+                                None)
+                        elif message[0] == "ok":
+                            # Next job first: the cache commit below
+                            # then overlaps the worker's run.
+                            _feed(worker)
+                            _record_success(pj, message[2], message[3])
+                        else:
+                            _, _wl, _cfg, detail, root_cause = message
                             _fail_attempt(
-                                pj, CLASS_TIMEOUT,
+                                pj, classify_failure(detail, root_cause),
+                                detail, root_cause)
+                            if fatal is None:
+                                _feed(worker)
+                    now = time.monotonic()
+                    for worker in list(active.values()):
+                        if worker.deadline is not None \
+                                and now >= worker.deadline:
+                            _retire(worker, kill=True)
+                            _fail_attempt(
+                                worker.pj, CLASS_TIMEOUT,
                                 "watchdog: attempt %d exceeded its %.1fs "
                                 "deadline; worker killed"
-                                % (pj.tries + 1,
+                                % (worker.pj.tries + 1,
                                    resolve_job_timeout(job_timeout,
-                                                       pj.job[2])), None)
+                                                       worker.pj.job[2])),
+                                None)
                 # Orderly shutdown for every early-exit path (SIGINT or a
                 # fatal failure): no orphaned workers, no zombies.
-                for conn, (pj, process, _deadline) in active.items():
-                    _stop_worker(process)
-                    conn.close()
-                active.clear()
+                for worker in list(active.values()):
+                    _retire(worker, kill=True)
                 drained = guard.draining
                 if guard.triggered:
                     raise KeyboardInterrupt
@@ -1155,6 +1227,8 @@ def run_jobs(jobs, cache=None, max_workers=None, progress=None,
             cache.put(cell_key, result)
             by_key[cell_key] = result
     finally:
+        if frozen:
+            gc.unfreeze()
         if trace_dir is not None:
             shutil.rmtree(trace_dir, ignore_errors=True)
 

@@ -1,10 +1,11 @@
 """Supervised shard-pool scheduler: the service layer over the job engine.
 
-:mod:`repro.sim.parallel` spawns one worker process per job — simple, and
-right for a single sweep.  A simulation *service* wants the opposite
-shape: N long-lived **shard** processes fed jobs over the existing
-per-job pipe protocol, supervised for health rather than per-job
-lifetime.  This module provides that layer:
+:mod:`repro.sim.parallel` binds each worker process to one workload
+trace and exits it when that trace's jobs are done — right for a single
+sweep.  A simulation *service* wants a different shape: N long-lived
+**shard** processes fed any job over the same per-job pipe protocol,
+supervised for health rather than per-trace lifetime.  This module
+provides that layer:
 
 - **Shards** (:func:`_shard_main`): long-lived children that loop
   ``recv job -> run -> send result``, reusing the exact worker body
@@ -22,7 +23,7 @@ lifetime.  This module provides that layer:
   seconds (default 30) is **quarantined** — benched for the backoff
   period with an event on :attr:`ShardPool.events`.  Job-level retry
   accounting (attempts, backoff, keep-going manifests) matches the
-  worker-per-job engine exactly, so results are byte-identical.
+  trace-bound worker engine exactly, so results are byte-identical.
 - **Admission control + fair-share lanes**: two dispatch lanes,
   ``interactive`` and ``bulk``.  The dispatcher always serves interactive
   jobs first at chunk (one job) granularity, so an interactive

@@ -231,9 +231,9 @@ def build_workload(name, length=20000):
 
     The cache is sized (``REPRO_TRACE_CACHE``, default 96) to hold the
     full 65-workload suite plus headroom for ad-hoc lengths, so a
-    multi-config matrix run builds each trace once, not once per config;
-    :func:`repro.sim.parallel.run_jobs` pre-populates it in the parent
-    before forking workers.  Each trace holds ``length`` instruction
+    multi-config matrix run builds each trace once, not once per config
+    (in a parallel run, once per trace-bound worker: the memo lives in
+    each worker process).  Each trace holds ``length`` instruction
     objects, so bounding the cache bounds peak memory on sweeps that
     visit many distinct (name, length) pairs.
     """

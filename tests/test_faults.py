@@ -257,6 +257,45 @@ class TestHangWatchdog:
         assert record["attempts"] == 2
 
 
+class TestTraceBoundAttribution:
+    """A fault inside a worker that serves several jobs of one trace is
+    charged to the job in flight, never to its trace siblings."""
+
+    @staticmethod
+    def one_trace_jobs():
+        return [("spec06_mcf", quiet_config(rob_entries=entries,
+                                            name="rob%d" % entries),
+                 LENGTH, WARMUP)
+                for entries in (64, 96, 128, 160)]
+
+    def assert_only_job_recovers(self, tmp_path, fault, classification,
+                                 **kwargs):
+        clean, _ = run_jobs(self.one_trace_jobs(),
+                            cache=ResultCache(str(tmp_path / "clean")),
+                            max_workers=2)
+        os.environ["REPRO_FAULT"] = fault
+        results, report = run_jobs(self.one_trace_jobs(),
+                                   cache=ResultCache(str(tmp_path / "fault")),
+                                   max_workers=2, retries=1, keep_going=True,
+                                   **kwargs)
+        (record,) = report.failures
+        assert record["job_index"] == 2
+        assert record["classification"] == classification
+        assert record["recovered"] is True
+        assert record["attempts"] == 2
+        assert [json.dumps(r.data, sort_keys=True) for r in results] == \
+            [json.dumps(r.data, sort_keys=True) for r in clean]
+
+    def test_crash_is_charged_to_the_job_in_flight(self, tmp_path):
+        self.assert_only_job_recovers(tmp_path, "crash:job=2:attempts=1",
+                                      "crash")
+
+    def test_hang_is_charged_to_the_job_in_flight(self, tmp_path):
+        self.assert_only_job_recovers(
+            tmp_path, "hang:job=2:attempts=1:seconds=60", "timeout",
+            job_timeout=1.5)
+
+
 class TestCorruptCacheInjection:
     def test_corrupt_entry_is_classified_and_resimulated(self, tmp_path):
         cache = ResultCache(str(tmp_path))

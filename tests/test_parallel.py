@@ -6,8 +6,10 @@ entries treated as misses and safely rewritten, and schema-versioned cache
 keys.
 """
 
+import gc
 import json
 import os
+import tempfile
 
 import pytest
 
@@ -353,3 +355,89 @@ class TestTraceMerge:
             plain_data.pop("fast_forward")
             data.pop("fast_forward")
             assert plain_data == data
+
+
+def _count_builds(monkeypatch, marker_dir):
+    """Make every trace build, in any process, leave a marker file named
+    after the building pid; returns a reader of ``[pid, ...]``.
+
+    The trace memo is cleared first, so forked workers inherit no trace and
+    every build they do shows up.
+    """
+    from repro.workloads import suite
+
+    real = suite.generate_trace
+    os.makedirs(marker_dir)
+
+    def counting(profile):
+        fd, _path = tempfile.mkstemp(prefix="%d-" % os.getpid(),
+                                     dir=marker_dir)
+        os.close(fd)
+        return real(profile)
+
+    suite.build_workload.cache_clear()
+    monkeypatch.setattr(suite, "generate_trace", counting)
+    return lambda: [int(name.split("-")[0])
+                    for name in os.listdir(marker_dir)]
+
+
+class TestTraceBoundWorkers:
+    def test_restore_only_sweep_builds_each_trace_once_per_worker(
+            self, tmp_path, monkeypatch):
+        """Three workloads x two configs of sampled intervals over a
+        filled checkpoint store: workers build a trace once, not once per
+        interval job."""
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
+        configs = [quiet_config(), quiet_config(rob_entries=128,
+                                                name="rob128")]
+        sampling = {"samples": 3}
+        reference, _ = run_matrix(
+            configs, WORKLOADS, 6000, 3000, sampling=sampling,
+            cache=ResultCache(str(tmp_path / "fill")), max_workers=1)
+        builds = _count_builds(monkeypatch, str(tmp_path / "builds"))
+        resweep, report = run_matrix(
+            configs, WORKLOADS, 6000, 3000, sampling=sampling,
+            cache=ResultCache(str(tmp_path / "resweep")), max_workers=2)
+        assert report.workers == 2
+        assert report.jobs_simulated == 3 * len(WORKLOADS) * len(configs)
+        assert 0 < len(builds()) <= len(WORKLOADS) + report.workers
+        for before, after in zip(reference, resweep):
+            for name in WORKLOADS:
+                assert after[name].data == before[name].data
+
+    def test_one_trace_sweep_keeps_both_workers_busy(self, tmp_path,
+                                                     monkeypatch):
+        configs = [quiet_config(rob_entries=entries, name="rob%d" % entries)
+                   for entries in (64, 96, 128, 160)]
+        jobs = [("spec06_mcf", config, LENGTH, WARMUP) for config in configs]
+        builds = _count_builds(monkeypatch, str(tmp_path / "builds"))
+        results, _ = run_jobs(jobs, cache=ResultCache(str(tmp_path)),
+                              max_workers=2)
+        assert all(result is not None for result in results)
+        pids = builds()
+        assert len(pids) == 2 and len(set(pids)) == 2
+        assert os.getpid() not in pids
+
+    def test_forked_workers_run_with_the_parent_heap_frozen(
+            self, tmp_path, monkeypatch):
+        from repro.sim import parallel
+
+        monkeypatch.setenv("REPRO_MP_START", "fork")
+        real = parallel._run_job
+        seen = str(tmp_path / "freeze-counts")
+
+        def recording(item):
+            with open(seen, "a") as handle:
+                handle.write("%d\n" % gc.get_freeze_count())
+            return real(item)
+
+        monkeypatch.setattr(parallel, "_run_job", recording)
+        results, _ = run_jobs(small_jobs(),
+                              cache=ResultCache(str(tmp_path / "cache")),
+                              max_workers=2)
+        assert all(result is not None for result in results)
+        assert gc.get_freeze_count() == 0
+        with open(seen) as handle:
+            counts = [int(line) for line in handle]
+        assert len(counts) == len(WORKLOADS)
+        assert all(count > 0 for count in counts)

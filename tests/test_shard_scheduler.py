@@ -1,9 +1,9 @@
 """The supervised shard-pool scheduler (repro.sim.scheduler).
 
-Byte-identity with the worker-per-job engine is the core contract — results
-must not depend on which engine ran them — plus the supervision paths:
-shard death recovery, heartbeat quarantine, fair-share lanes, admission
-control, and the asyncio service front end.
+Byte-identity with the trace-bound worker engine is the core contract —
+results must not depend on which engine ran them — plus the supervision
+paths: shard death recovery, heartbeat quarantine, fair-share lanes,
+admission control, and the asyncio service front end.
 """
 
 import asyncio
