@@ -55,6 +55,12 @@ def _config_from_args(args):
     return factory(**overrides)
 
 
+def _config_label(config, args):
+    """The config's display name plus the feature flags applied to it."""
+    return (config.name + (" +RFP" if args.rfp else "")
+            + (" +VP:%s" % args.vp if args.vp else ""))
+
+
 def _sampling_from_args(args):
     """The interval-sampling spec requested by --sample, or None."""
     if getattr(args, "sample", None) is None:
@@ -102,8 +108,7 @@ def cmd_run(args):
     rows = [
         ("workload", result.workload),
         ("category", result.category),
-        ("config", config.name + (" +RFP" if args.rfp else "")
-         + (" +VP:%s" % args.vp if args.vp else "")),
+        ("config", _config_label(config, args)),
         ("IPC", format_ipc_ci(result.data)),
         ("cycles", str(result.data["cycles"])),
         ("instructions", str(result.data["instructions"])),
@@ -169,8 +174,8 @@ def cmd_suite(args):
     sampling = _sampling_from_args(args)
     names = workload_names()[: args.num] if args.num else workload_names()
     base_config = baseline() if not args.core_2x else baseline_2x()
-    print("Running %s workloads under %s..."
-          % (args.num or "all", config.name))
+    label = _config_label(config, args)
+    print("Running %s workloads under %s..." % (args.num or "all", label))
     # One engine over the full (config x workload) matrix: the baseline and
     # feature runs share workers instead of draining sequentially.
     (base, feature), report = run_matrix(
@@ -191,7 +196,8 @@ def cmd_suite(args):
             (name, format_ipc_ci(base[name].data), format_ipc_ci(feature[name].data))
             for name in names if name in base and name in feature
         ]
-        print(format_table(["workload", "baseline IPC", "%s IPC" % config.name],
+        print(format_table(["workload", "%s IPC" % base_config.name,
+                            "%s IPC" % label],
                            ipc_rows, title="sampled IPC (mean ± CI)"))
     print(report.format())
     if args.resume:

@@ -22,11 +22,14 @@ temp files and evicting torn finals.  ``REPRO_JOURNAL=0`` falls back to
 the bare tmp+replace discipline.
 
 Integrity: every entry is stored as ``{"checksum": ..., "data": ...}``
-where the checksum hashes the canonical JSON of the payload.  A truncated
-file, malformed JSON, a legacy (pre-envelope) entry, or a payload that no
-longer matches its checksum is classified, **evicted** (the file is
-removed with a warning naming the key), and the job re-simulated — a
-flipped bit on disk costs one redundant simulation, never a wrong figure.
+(the codec in :mod:`repro.sim.envelope`): ``data`` is the payload's
+canonical JSON and the checksum is the sha256 of exactly those bytes, so a
+read verifies the entry by hashing the bytes it is about to parse, without
+re-encoding; entries from older writers still read.  A truncated file,
+malformed JSON, a legacy (pre-envelope) entry, or a payload that no longer
+matches its checksum is classified, **evicted** (the file is removed with
+a warning naming the key), and the job re-simulated — a flipped bit on
+disk costs one redundant simulation, never a wrong figure.
 Evictions are recorded on :attr:`ResultCache.eviction_log` so the parallel
 engine can fold them into its failure manifest.
 """
@@ -40,7 +43,13 @@ import warnings
 from repro.core.core import event_loop_env_disabled
 from repro.sim import faults
 from repro.sim.defaults import DEFAULT_LENGTH, DEFAULT_WARMUP
-from repro.sim.journal import JournaledDir, journaling_env_disabled
+from repro.sim.envelope import checksum as envelope_checksum
+from repro.sim.envelope import encode_envelope, read_envelope
+from repro.sim.journal import (
+    JournaledDir,
+    journaling_env_disabled,
+    plain_commit,
+)
 from repro.sim.runner import (
     SCHEMA_VERSION,
     SimResult,
@@ -103,7 +112,7 @@ class ResultCache(object):
         if journaling_env_disabled():
             return None
         if self._journaled is None:
-            self._journaled = JournaledDir(self.directory, self.checksum)
+            self._journaled = JournaledDir(self.directory)
         return self._journaled
 
     def _recover(self):
@@ -116,11 +125,8 @@ class ResultCache(object):
     def key(self, workload, config, length, warmup):
         return "%s-%d-%d-%s" % (workload, length, warmup, config_fingerprint(config))
 
-    @staticmethod
-    def checksum(data):
-        """Content hash of a result payload (canonical-JSON sha256)."""
-        text = json.dumps(data, sort_keys=True, default=str)
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    #: Content hash of a result payload (canonical-JSON sha256).
+    checksum = staticmethod(envelope_checksum)
 
     def get(self, key):
         path = self._path(key)
@@ -131,27 +137,13 @@ class ResultCache(object):
         if not os.path.exists(path):
             self.misses += 1
             return None
-        reason = None
-        try:
-            with open(path) as handle:
-                envelope = json.load(handle)
-        except (OSError, ValueError):
-            reason = "unreadable (truncated or malformed JSON)"
-        else:
-            if (
-                not isinstance(envelope, dict)
-                or "checksum" not in envelope
-                or not isinstance(envelope.get("data"), dict)
-            ):
-                reason = "not a checksummed cache envelope"
-            elif self.checksum(envelope["data"]) != envelope["checksum"]:
-                reason = "checksum mismatch (payload altered on disk)"
+        reason, data = read_envelope(path, "cache envelope")
         if reason is not None:
             self._evict(key, path, reason)
             self.misses += 1
             return None
         self.hits += 1
-        return SimResult(envelope["data"])
+        return SimResult(data)
 
     def _evict(self, key, path, reason):
         """Remove a corrupt entry, warn, and log the incident."""
@@ -173,24 +165,19 @@ class ResultCache(object):
         return log
 
     def put(self, key, result):
+        # Encode first: a payload that is not JSON fails here, before any
+        # file (or journal record) is touched.
+        checksum, blob = encode_envelope(result.as_dict())
         os.makedirs(self.directory, exist_ok=True)
         path = self._path(key)
-        data = result.as_dict()
-        envelope = {"checksum": self.checksum(data), "data": data}
         journaled = self._journal()
-        if journaled is not None:
-            self._recover()
-            # Locked, journaled commit: intent record, fsync'd payload via
-            # atomic os.replace, commit record (see repro.sim.journal).
-            journaled.commit(key, path, envelope)
+        if journaled is None:
+            plain_commit(path, blob)
             return
-        # REPRO_JOURNAL=0 fallback: per-process temp name so concurrent
-        # fillers never clobber each other's in-progress write; os.replace
-        # is atomic on POSIX.
-        tmp = "%s.%d.tmp" % (path, os.getpid())
-        with open(tmp, "w") as handle:
-            json.dump(envelope, handle)
-        os.replace(tmp, path)
+        self._recover()
+        # Locked, journaled commit: intent record, fsync'd payload via
+        # atomic os.replace, commit record (see repro.sim.journal).
+        journaled.commit(key, path, checksum, blob)
 
     # -- maintenance (the CLI's cache-clear / cache-stats) ---------------
 

@@ -46,8 +46,8 @@ import sys
 import time
 
 from repro.core.config import baseline, baseline_2x
-from repro.sim.cache import ResultCache
-from repro.sim.journal import Journal, validate_envelope
+from repro.sim.envelope import read_envelope
+from repro.sim.journal import Journal
 from repro.workloads.suite import workload_names
 
 #: Default campaign seed; CI pins its own so local replays match.
@@ -335,8 +335,7 @@ class _Campaign(object):
         for name in sorted(os.listdir(self.chaos_cache)):
             if not name.endswith(".json"):
                 continue
-            reason = validate_envelope(
-                os.path.join(self.chaos_cache, name), ResultCache.checksum)
+            reason, _ = read_envelope(os.path.join(self.chaos_cache, name))
             if reason is not None:
                 invalid.append((name, reason))
         if invalid:

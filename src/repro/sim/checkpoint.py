@@ -21,9 +21,10 @@ everywhere else:
 - :class:`CheckpointStore` is the content-addressed on-disk store, keyed by
   ``(workload, trace length, functional position, warm-relevant config
   fingerprint)`` and wrapped in the same checksummed envelopes as the
-  result cache: a corrupt checkpoint is classified, evicted with a warning,
-  logged for the failure manifest, and the workload re-warmed — never
-  silently restored.
+  result cache (:mod:`repro.sim.envelope`: canonical-JSON ``data``, the
+  sha256 of those bytes verified on every read without re-encoding): a
+  corrupt checkpoint is classified, evicted with a warning, logged for the
+  failure manifest, and the workload re-warmed — never silently restored.
 
 ``REPRO_CHECKPOINT_DIR`` overrides the store location (default
 ``<repo>/benchmarks/.checkpoints``); ``REPRO_CHECKPOINTS=0`` disables the
@@ -38,7 +39,13 @@ import warnings
 
 from repro.emu.warmup import FunctionalWarmer
 from repro.sim import faults
-from repro.sim.journal import JournaledDir, journaling_env_disabled
+from repro.sim.envelope import checksum as envelope_checksum
+from repro.sim.envelope import encode_envelope, read_envelope
+from repro.sim.journal import (
+    JournaledDir,
+    journaling_env_disabled,
+    plain_commit,
+)
 from repro.sim.runner import SCHEMA_VERSION
 
 #: On-disk checkpoint format version.  Mixed into every fingerprint so a
@@ -328,7 +335,8 @@ class CheckpointStore(object):
     """JSON-file-per-checkpoint store with checksummed envelopes.
 
     Mirrors :class:`~repro.sim.cache.ResultCache`: entries are
-    ``{"checksum", "data"}`` envelopes, corruption is classified and
+    ``{"checksum", "data"}`` envelopes written and verified by
+    :mod:`repro.sim.envelope`, corruption is classified and
     evicted with a warning (the workload is then re-warmed), and every
     write is a locked, journaled commit (:mod:`repro.sim.journal`) —
     crash-safe against ``kill -9`` mid-commit and serialized against
@@ -360,7 +368,7 @@ class CheckpointStore(object):
         if journaling_env_disabled():
             return None
         if self._journaled is None:
-            self._journaled = JournaledDir(self.directory, self.checksum)
+            self._journaled = JournaledDir(self.directory)
         return self._journaled
 
     def _recover(self):
@@ -375,37 +383,13 @@ class CheckpointStore(object):
             workload, length, functional, warm_fingerprint(config)
         )
 
-    @staticmethod
-    def checksum(data):
-        """Content hash of a checkpoint payload (canonical-JSON sha256)."""
-        text = json.dumps(data, sort_keys=True, default=str)
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    #: Content hash of a checkpoint payload (canonical-JSON sha256).
+    checksum = staticmethod(envelope_checksum)
 
     def contains(self, key):
         """Presence probe without reading/validating the entry."""
         self._recover()
         return os.path.exists(self._path(key))
-
-    def _read_envelope(self, path):
-        """Read and classify the entry at ``path``.
-
-        Returns ``(reason, envelope)`` — ``reason`` is None for a valid
-        checksummed envelope, else a human-readable corruption class.
-        """
-        try:
-            with open(path) as handle:
-                envelope = json.load(handle)
-        except (OSError, ValueError):
-            return "unreadable (truncated or malformed JSON)", None
-        if (
-            not isinstance(envelope, dict)
-            or "checksum" not in envelope
-            or not isinstance(envelope.get("data"), dict)
-        ):
-            return "not a checksummed checkpoint envelope", None
-        if self.checksum(envelope["data"]) != envelope["checksum"]:
-            return "checksum mismatch (payload altered on disk)", None
-        return None, envelope
 
     def get(self, key):
         """Return the checkpoint state dict for ``key``, or None."""
@@ -416,7 +400,7 @@ class CheckpointStore(object):
         if not os.path.exists(path):
             self.misses += 1
             return None
-        reason, envelope = self._read_envelope(path)
+        reason, state = read_envelope(path, "checkpoint envelope")
         if reason is not None:
             self._evict(key, path, reason)
             self.misses += 1
@@ -427,7 +411,7 @@ class CheckpointStore(object):
             os.utime(path, None)
         except OSError:
             pass
-        return envelope["data"]
+        return state
 
     def _evict(self, key, path, reason):
         try:
@@ -448,19 +432,18 @@ class CheckpointStore(object):
         return log
 
     def put(self, key, state):
+        # Encode first: a payload that is not JSON fails here, before any
+        # file (or journal record) is touched.
+        checksum, blob = encode_envelope(state)
         os.makedirs(self.directory, exist_ok=True)
         path = self._path(key)
-        envelope = {"checksum": self.checksum(state), "data": state}
         journaled = self._journal()
-        if journaled is not None:
-            self._recover()
-            # Locked, journaled commit (see repro.sim.journal).
-            journaled.commit(key, path, envelope)
+        if journaled is None:
+            plain_commit(path, blob)
             return
-        tmp = "%s.%d.tmp" % (path, os.getpid())
-        with open(tmp, "w") as handle:
-            json.dump(envelope, handle)
-        os.replace(tmp, path)
+        self._recover()
+        # Locked, journaled commit (see repro.sim.journal).
+        journaled.commit(key, path, checksum, blob)
 
     # -- maintenance (the CLI's ``repro checkpoint`` subcommand) ---------
 
@@ -489,7 +472,7 @@ class CheckpointStore(object):
         surviving = 0
         corrupt = 0
         for path in self.entry_paths():
-            reason, _ = self._read_envelope(path)
+            reason, _ = read_envelope(path, "checkpoint envelope")
             if reason is not None:
                 key = os.path.basename(path)[: -len(".ckpt.json")]
                 self._evict(key, path, reason)

@@ -1,9 +1,10 @@
 """Crash-safe commits for the on-disk stores: write-ahead journal + lock.
 
 The result cache and the checkpoint store both follow the same commit
-discipline — write a checksummed ``{"checksum", "data"}`` envelope to a
-per-process temp file, then ``os.replace`` it into place.  That is atomic
-against *readers*, but a ``kill -9`` mid-commit can still strand temp
+discipline — write a checksummed ``{"checksum", "data"}`` envelope, encoded
+once by :func:`repro.sim.envelope.encode_envelope`, to a per-process temp
+file, then ``os.replace`` it into place.  That is atomic against
+*readers*, but a ``kill -9`` mid-commit can still strand temp
 files, and two unrelated ``repro suite`` processes filling one directory
 interleave commits with no coordination at all.  This module closes both
 gaps:
@@ -21,11 +22,14 @@ gaps:
   and :meth:`Journal.replay` — run automatically the first time a store
   touches its directory — restores the invariant: orphaned temp files are
   removed, a torn final file is evicted, and a final file that is still a
-  valid self-consistent envelope is **kept** (it is either the completed
-  new version or the untouched old one; both are correct, and deleting the
-  old version on an early crash would turn a non-loss into a loss).
+  valid self-consistent envelope (checked by the stores' own reader,
+  :func:`repro.sim.envelope.read_envelope`) is **kept** (it is either the
+  completed new version or the untouched old one; both are correct, and
+  deleting the old version on an early crash would turn a non-loss into a
+  loss).
 - :class:`JournaledDir` — the bundle of both, exposing the
-  :meth:`~JournaledDir.commit` sequence the stores call:
+  :meth:`~JournaledDir.commit` sequence the stores call with a
+  pre-encoded ``(checksum, blob)``:
   ``lock -> intent -> payload (fsync) -> os.replace -> commit -> truncate``.
 
 Fault hooks (:mod:`repro.sim.faults`): ``kill_commit:key=K:at=STAGE``
@@ -46,6 +50,7 @@ import os
 import time
 
 from repro.sim import faults
+from repro.sim.envelope import read_envelope
 
 
 def journaling_env_disabled(environ=None):
@@ -201,27 +206,14 @@ def _fsync_file(handle):
     os.fsync(handle.fileno())
 
 
-def validate_envelope(path, checksum):
-    """Classify the file at ``path`` as a checksummed envelope.
-
-    Returns None when the file is a fully-written, self-consistent
-    ``{"checksum", "data"}`` envelope, else a human-readable reason —
-    the same classifications the stores use on read.
-    """
-    try:
-        with open(path) as handle:
-            envelope = json.load(handle)
-    except (OSError, ValueError):
-        return "unreadable (truncated or malformed JSON)"
-    if (
-        not isinstance(envelope, dict)
-        or "checksum" not in envelope
-        or not isinstance(envelope.get("data"), dict)
-    ):
-        return "not a checksummed envelope"
-    if checksum(envelope["data"]) != envelope["checksum"]:
-        return "checksum mismatch (payload altered on disk)"
-    return None
+def plain_commit(path, blob):
+    """The ``REPRO_JOURNAL=0`` commit: per-process temp file + atomic
+    ``os.replace``, with no lock, journal or fsync.  The temp name keeps
+    concurrent fillers from clobbering each other's in-progress write."""
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    with open(tmp, "wb") as handle:
+        handle.write(blob)
+    os.replace(tmp, path)
 
 
 class Journal(object):
@@ -293,7 +285,7 @@ class Journal(object):
                 records.append(record)
         return records, torn_tail
 
-    def replay(self, checksum):
+    def replay(self):
         """Roll the directory forward to a clean state.
 
         For every intent with no commit record: the orphaned temp file is
@@ -331,7 +323,7 @@ class Journal(object):
             final = os.path.join(self.directory, final_name)
             if not os.path.exists(final):
                 continue
-            reason = validate_envelope(final, checksum)
+            reason, _ = read_envelope(final)
             if reason is None:
                 summary["kept"] += 1
                 continue
@@ -351,17 +343,12 @@ class Journal(object):
 
 
 class JournaledDir(object):
-    """Lock + journal for one store directory; owns the commit sequence.
-
-    ``checksum`` is the store's canonical payload hash (both stores use
-    canonical-JSON sha256), reused to validate final files during replay.
-    """
+    """Lock + journal for one store directory; owns the commit sequence."""
 
     LOCK_FILENAME = ".lock"
 
-    def __init__(self, directory, checksum):
+    def __init__(self, directory):
         self.directory = directory
-        self.checksum = checksum
         self.journal = Journal(directory)
         self.lock = FileLock(os.path.join(directory, self.LOCK_FILENAME))
         #: Most recent non-trivial :meth:`recover` summary (diagnostics).
@@ -374,35 +361,34 @@ class JournaledDir(object):
         if not self.journal.needs_replay():
             return []
         with self.lock:
-            summary = self.journal.replay(self.checksum)
+            summary = self.journal.replay()
         if summary is None:
             return []
         self.last_replay = summary
         return summary["evicted"]
 
-    def commit(self, key, path, envelope):
-        """The full journaled commit sequence for one envelope.
+    def commit(self, key, path, checksum, blob):
+        """The full journaled commit sequence for one encoded envelope.
 
-        lock -> intent (fsync) -> temp payload (fsync) -> ``os.replace``
-        -> commit record -> journal truncate.  The ``kill_commit`` /
-        ``torn_write`` fault hooks between the stages are no-ops (one env
-        lookup) unless ``REPRO_FAULT`` requests them.
+        ``checksum`` and ``blob`` are what
+        :func:`repro.sim.envelope.encode_envelope` returned; ``blob`` is
+        written verbatim.  lock -> intent (fsync) -> temp payload (fsync)
+        -> ``os.replace`` -> commit record -> journal truncate.  The
+        ``kill_commit`` / ``torn_write`` fault hooks between the stages are
+        no-ops (one env lookup) unless ``REPRO_FAULT`` requests them.
         """
         tmp = "%s.%d.tmp" % (path, os.getpid())
         with self.lock:
             seq = self.journal.begin(key, os.path.basename(path),
-                                     os.path.basename(tmp),
-                                     envelope["checksum"])
+                                     os.path.basename(tmp), checksum)
             faults.fire_commit_faults(key, "intent")
-            with open(tmp, "w") as handle:
-                json.dump(envelope, handle)
+            with open(tmp, "wb") as handle:
+                handle.write(blob)
                 _fsync_file(handle)
             faults.fire_commit_faults(key, "payload")
             if faults.torn_write_requested(key):
                 # Simulate a crash that left a half-written final file and
                 # no commit record: replay must evict it.
-                with open(tmp, "rb") as handle:
-                    blob = handle.read()
                 with open(path, "wb") as handle:
                     handle.write(blob[: max(1, len(blob) // 2)])
                 try:

@@ -1,9 +1,19 @@
-"""Set-associative cache model: LRU, eviction, dirty bits, stats."""
+"""Set-associative cache model: LRU, eviction, dirty bits, stats; and the
+on-disk result cache's envelope codec (canonical writes, verified reads)."""
+
+import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import quiet_config
+
+from repro.__main__ import main
 from repro.memory.cache import Cache
+from repro.sim import cache as cache_mod
+from repro.sim.cache import ResultCache, simulate_cached
+from repro.sim.runner import simulate
 
 
 def small_cache():
@@ -156,3 +166,88 @@ def test_cache_matches_reference_lru(ops):
     for s in range(4):
         resident = sorted(l for l in range(0, 31) if cache.contains(l) and l % 4 == s)
         assert resident == sorted(reference[s])
+
+
+# ---------------------------------------------------------------------------
+# the result cache's on-disk envelopes
+
+WORKLOAD = "spec06_bzip2"
+
+
+class _Result(object):
+    def __init__(self, data):
+        self.data = data
+
+    def as_dict(self):
+        return self.data
+
+
+class TestResultEnvelope:
+    def test_reloaded_result_equals_fresh(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        config = quiet_config(rfp={"enabled": True})
+        fresh = simulate(WORKLOAD, config, length=3000, warmup=1000)
+        simulate_cached(WORKLOAD, config, length=3000, warmup=1000,
+                        cache=cache)
+        key = cache.key(WORKLOAD, config, 3000, 1000)
+        with open(cache._path(key), "rb") as handle:
+            blob = handle.read()
+        text = json.dumps(fresh.as_dict(), sort_keys=True)
+        assert blob == ('{"checksum": "%s", "data": %s}'
+                        % (ResultCache.checksum(fresh.as_dict()),
+                           text)).encode()
+        reloaded = cache.get(key)
+        assert reloaded.data == fresh.data
+        assert json.dumps(reloaded.as_dict(), sort_keys=True) == text
+
+    @pytest.mark.parametrize("damage, reason", [
+        ("truncate", "unreadable (truncated or malformed JSON)"),
+        ("not_envelope", "not a checksummed cache envelope"),
+        ("flip", "checksum mismatch (payload altered on disk)"),
+    ])
+    def test_damage_keeps_its_reason(self, tmp_path, monkeypatch, damage,
+                                     reason):
+        cache = ResultCache(str(tmp_path))
+        cache.put("victim-k", _Result({"cycles": 10, "ipc": 1.0}))
+        if damage == "not_envelope":
+            with open(cache._path("victim-k"), "w") as handle:
+                json.dump({"cycles": 10}, handle)
+        else:
+            monkeypatch.setenv("REPRO_FAULT",
+                               "corrupt_cache:key=victim:how=%s" % damage)
+        with pytest.warns(RuntimeWarning, match="re-simulated"):
+            assert cache.get("victim-k") is None
+        assert cache.pop_evictions() == [{"key": "victim-k",
+                                          "reason": reason}]
+
+    @pytest.mark.parametrize("journal", ["1", "0"])
+    def test_non_json_payload_touches_nothing(self, tmp_path, monkeypatch,
+                                              journal):
+        monkeypatch.setenv("REPRO_JOURNAL", journal)
+        cache = ResultCache(str(tmp_path))
+        cache.put("good", _Result({"v": 1}))
+        before = sorted(os.listdir(str(tmp_path)))
+        with pytest.raises(TypeError):
+            cache.put("k", _Result({"b": {1, 2}}))
+        assert sorted(os.listdir(str(tmp_path))) == before
+        if journal == "1":
+            assert os.path.getsize(str(tmp_path / "journal.wal")) == 0
+
+    def test_suite_output_identical_cold_and_warm(self, tmp_path,
+                                                  monkeypatch, capsys):
+        """Reloaded results come back key-sorted; ``--out`` JSON and the
+        printed tables must not change between a cold and a warm cache."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
+        monkeypatch.setattr(cache_mod, "_default_cache", None)
+        outputs = []
+        for run in ("cold", "warm"):
+            out = tmp_path / ("%s.json" % run)
+            assert main(["suite", "-n", "4", "--rfp", "--sample", "4",
+                         "--length", "8000", "--warmup", "4000",
+                         "--jobs", "1", "--out", str(out)]) == 0
+            text = capsys.readouterr().out
+            outputs.append((out.read_bytes(),
+                            text[: text.index("suite timing:")]))
+        assert "0 simulated, 8 cache hits" in text
+        assert outputs[0] == outputs[1]

@@ -280,6 +280,80 @@ class TestCheckpointStore:
         assert with_store.data == without.data
 
 
+def captured_state():
+    trace = build_workload(WORKLOAD, length=LENGTH)
+    core = OOOCore(trace, quiet_config(rfp={"enabled": True}))
+    return capture(core, FunctionalWarmer(core).warm(WARM))
+
+
+class TestEnvelopeCodec:
+    """Canonical writes, byte-verified reads, and older writers' entries."""
+
+    @pytest.mark.parametrize("journal", ["1", "0"])
+    def test_data_member_is_canonical_json(self, tmp_path, monkeypatch,
+                                           journal):
+        monkeypatch.setenv("REPRO_JOURNAL", journal)
+        store = CheckpointStore(str(tmp_path))
+        state = captured_state()
+        store.put("k", state)
+        with open(store._path("k"), "rb") as handle:
+            blob = handle.read()
+        text = json.dumps(state, sort_keys=True)
+        assert blob == ('{"checksum": "%s", "data": %s}'
+                        % (CheckpointStore.checksum(state), text)).encode()
+        assert CheckpointStore.checksum(state) == json.loads(blob)["checksum"]
+        assert store.get("k") == json.loads(text)
+
+    def test_old_writer_entry_still_reads(self, tmp_path):
+        """An entry written by ``json.dump`` of an insertion-ordered
+        envelope (the pre-codec writer) is valid and reads back equal."""
+        store = CheckpointStore(str(tmp_path))
+        state = captured_state()
+        assert list(state) != sorted(state)  # not already canonical
+        with open(store._path("k"), "w") as handle:
+            json.dump({"checksum": CheckpointStore.checksum(state),
+                       "data": state}, handle)
+        assert store.get("k") == json.loads(json.dumps(state))
+        assert store.pop_evictions() == []
+        assert store.stats()["corrupt_evicted"] == 0
+
+    def test_altered_canonical_bytes_are_a_checksum_mismatch(self,
+                                                             tmp_path):
+        """One digit changed in a canonical entry: still well-formed JSON,
+        so only the hash of the data member's bytes can catch it."""
+        store = CheckpointStore(str(tmp_path))
+        store.put("k", {"functional": WARM, "length": LENGTH})
+        path = store._path("k")
+        with open(path, "rb") as handle:
+            blob = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(blob.replace(b'"length": 4000', b'"length": 4001'))
+        with pytest.warns(RuntimeWarning, match="re-warmed"):
+            assert store.get("k") is None
+        [incident] = store.pop_evictions()
+        assert incident["reason"] == \
+            "checksum mismatch (payload altered on disk)"
+
+    @pytest.mark.parametrize("journal", ["1", "0"])
+    def test_non_json_payload_touches_nothing(self, tmp_path, monkeypatch,
+                                              journal):
+        """Encoding comes first: a payload JSON cannot represent raises
+        before the journal intent, the temp file or the directory exist."""
+        monkeypatch.setenv("REPRO_JOURNAL", journal)
+        directory = tmp_path / "store"
+        store = CheckpointStore(str(directory))
+        with pytest.raises(TypeError):
+            store.put("k", {"b": {1, 2}})
+        assert not directory.exists()
+        store.put("good", {"v": 1})
+        before = sorted((p.name, p.read_bytes())
+                        for p in directory.iterdir())
+        with pytest.raises(TypeError):
+            store.put("k", {"b": {1, 2}})
+        assert sorted((p.name, p.read_bytes())
+                      for p in directory.iterdir()) == before
+
+
 # ---------------------------------------------------------------------------
 # warm-once accounting
 

@@ -7,6 +7,7 @@ from repro.emu.emulator import ArchEmulator
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
 from repro.isa.trace import Trace
+from repro.sim import cache as cache_mod
 from repro.sim.critical_path import analyze_critical_path
 
 
@@ -45,6 +46,20 @@ class TestCLI:
         assert "cumulative" in captured.err
         assert "simulate" in captured.err
         assert out_file.exists() and out_file.stat().st_size > 0
+
+    def test_sampled_suite_labels_the_feature_config(self, capsys,
+                                                     tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
+        monkeypatch.setattr(cache_mod, "_default_cache", None)
+        assert main(["suite", "-n", "1", "--rfp", "--sample", "2",
+                     "--length", "4000", "--warmup", "2000",
+                     "--jobs", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "Running 1 workloads under baseline +RFP..."
+        header = lines[lines.index("sampled IPC (mean ± CI)") + 1]
+        assert [cell.strip() for cell in header.split("|")] == [
+            "workload", "baseline IPC", "baseline +RFP IPC"]
 
     def test_run_with_vp(self, capsys):
         assert main(["run", "spec06_bzip2", "--length", "1200",

@@ -19,12 +19,12 @@ import pytest
 
 from repro.sim import faults
 from repro.sim.cache import ResultCache
+from repro.sim.envelope import encode_envelope, read_envelope
 from repro.sim.journal import (
     FileLock,
     Journal,
     JournaledDir,
     LockTimeout,
-    validate_envelope,
 )
 
 SRC_DIR = os.path.join(
@@ -111,7 +111,7 @@ class TestJournalReplay:
             handle.write('{"half')
         with open(os.path.join(directory, "k1.json"), "w") as handle:
             handle.write('{"checksum": "abcd", "data": {"tor')
-        summary = journal.replay(ResultCache.checksum)
+        summary = journal.replay()
         assert summary["pending"] == 1
         assert summary["removed_tmp"] == 1
         assert [e["key"] for e in summary["evicted"]] == ["k1"]
@@ -126,7 +126,7 @@ class TestJournalReplay:
         path = write_entry(directory, "k1", {"v": 1})
         journal = Journal(directory)
         journal.begin("k1", "k1.json", "k1.json.tmp", "different-checksum")
-        summary = journal.replay(ResultCache.checksum)
+        summary = journal.replay()
         assert summary["kept"] == 1
         assert summary["evicted"] == []
         with open(path) as handle:
@@ -139,46 +139,45 @@ class TestJournalReplay:
         journal.commit(seq)
         with open(journal.path, "a") as handle:
             handle.write('{"op": "intent", "seq": "torn')  # crash mid-append
-        summary = journal.replay(ResultCache.checksum)
+        summary = journal.replay()
         assert summary["torn_tail"] is True
         assert not journal.needs_replay()
 
     def test_journaled_dir_recover_cheap_at_rest(self, tmp_path):
         directory = str(tmp_path)
-        journaled = JournaledDir(directory, ResultCache.checksum)
+        journaled = JournaledDir(directory)
         journaled.commit("k1", os.path.join(directory, "k1.json"),
-                         envelope_for({"v": 1}))
+                         *encode_envelope({"v": 1}))
         assert journaled.recover() == []
         # At rest: journal empty, no lock left behind, entry valid.
         assert os.path.getsize(os.path.join(directory,
                                             Journal.FILENAME)) == 0
         assert not os.path.exists(os.path.join(directory,
                                                JournaledDir.LOCK_FILENAME))
-        assert validate_envelope(os.path.join(directory, "k1.json"),
-                                 ResultCache.checksum) is None
+        assert read_envelope(os.path.join(directory, "k1.json")) == (
+            None, {"v": 1})
 
 
-class TestValidateEnvelope:
+class TestReadEnvelope:
     def test_classifications(self, tmp_path):
         directory = str(tmp_path)
         good = write_entry(directory, "good", {"v": 1})
-        assert validate_envelope(good, ResultCache.checksum) is None
+        assert read_envelope(good) == (None, {"v": 1})
         torn = os.path.join(directory, "torn.json")
         with open(torn, "w") as handle:
             handle.write('{"checksum": "x", "data": {"tor')
-        assert "unreadable" in validate_envelope(torn, ResultCache.checksum)
+        assert "unreadable" in read_envelope(torn)[0]
         legacy = os.path.join(directory, "legacy.json")
         with open(legacy, "w") as handle:
             json.dump({"v": 1}, handle)
-        assert "envelope" in validate_envelope(legacy, ResultCache.checksum)
+        assert "envelope" in read_envelope(legacy)[0]
         altered = write_entry(directory, "altered", {"v": 1})
         with open(altered) as handle:
             env = json.load(handle)
         env["data"]["v"] = 2
         with open(altered, "w") as handle:
             json.dump(env, handle)
-        assert "checksum mismatch" in validate_envelope(
-            altered, ResultCache.checksum)
+        assert "checksum mismatch" in read_envelope(altered)[0]
 
 
 class FakeResult(object):
