@@ -16,8 +16,6 @@ never fails.  Gated metrics:
   hardware much better than the absolute figure does);
 - ``event_loop.instructions_per_second`` — the event-driven scheduler's
   serial throughput (absolute, machine-dependent);
-- ``event_loop.speedup_vs_legacy`` — the event engine vs the legacy
-  polled scheduler on the same machine and traces (a ratio; transfers).
 - ``sampling.wallclock_speedup`` — a checkpoint-hit interval-sampled
   sweep vs the two-speed single window (a ratio; transfers).
 
@@ -49,41 +47,17 @@ DEFAULT_TOLERANCE = 0.25
 #: (json path, human label) for every gated metric.  A metric missing
 #: from the *reference* is skipped (old references predate it); missing
 #: from the *new* record it is a failure (the benchmark stopped
-#: measuring something the gate relies on) — unless the metric's whole
-#: top-level section is in OPTIONAL_SECTIONS and absent from the new
-#: record, which means the benchmark ran a profile that skips that
-#: (expensive) section entirely rather than silently dropping a metric.
+#: measuring something the gate relies on).
 GATED_METRICS = [
     (("serial", "instructions_per_second"), "serial instr/s"),
     (("two_speed", "wallclock_speedup"), "two-speed wall-clock ratio"),
     (("event_loop", "instructions_per_second"), "event-loop serial instr/s"),
-    # Same-machine ratio (event engine vs the legacy polled scheduler on
-    # identical traces), so it transfers across hardware like the
-    # two-speed ratio does.
-    (("event_loop", "speedup_vs_legacy"), "event-loop speedup vs legacy"),
     # Same-machine ratio: a checkpoint-hit sampled sweep vs the two-speed
     # single window over the same validation workloads.  The benchmark
     # itself asserts a hard 2x floor; the gate additionally catches the
     # ratio eroding between commits (e.g. restore cost creeping up).
     (("sampling", "wallclock_speedup"), "sampled-sweep wall-clock ratio"),
-    # Same-machine ratio: the batched SoA warm engine at width 8 (the
-    # 8-config sweep shape) vs the scalar FunctionalWarmer, interleaved.
-    # The benchmark asserts a hard 3x floor; the gate catches erosion.
-    (("batch_warm", "speedup_vs_scalar_w8"), "batched-warm speedup (w=8)"),
-    # Same-machine ratio: the lockstep batched *detailed* core at width 8
-    # (8-config sweep x validation workloads) vs the scalar event-driven
-    # core, interleaved.  The benchmark asserts a hard 1.2x floor; the
-    # gate catches the batched path eroding back toward scalar speed.
-    (("batch_detail", "speedup_vs_scalar_w8"),
-     "batched-detail speedup (w=8)"),
 ]
-
-
-#: Sections a benchmark run may legitimately omit wholesale (e.g. a
-#: quick CI profile that skips the batched-detail sweep).  An absent
-#: section is a clear skip; a *present* section missing one of its gated
-#: metrics is still a failure.
-OPTIONAL_SECTIONS = frozenset(["batch_detail"])
 
 
 def _lookup(record, path):
@@ -105,11 +79,6 @@ def check(reference, new, tolerance):
             continue
         new_value = _lookup(new, path)
         if new_value is None:
-            if path[0] in OPTIONAL_SECTIONS and path[0] not in new:
-                print("skip  %-28s (optional section %r absent from the "
-                      "new record — benchmark profile skipped it)"
-                      % (label, path[0]))
-                continue
             failures.append("%s missing from the new record" % label)
             continue
         floor = ref_value * (1.0 - tolerance)

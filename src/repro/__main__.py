@@ -83,9 +83,7 @@ def cmd_run(args):
         if sampling is not None:
             return simulate_sampled(
                 args.workload, config, length=args.length,
-                warmup=args.warmup,
-                batch_warm=getattr(args, "batch_warm", None),
-                batch_detail=getattr(args, "batch_detail", None), **sampling
+                warmup=args.warmup, **sampling
             )
         return simulate(args.workload, config, length=args.length,
                         warmup=args.warmup)
@@ -182,9 +180,7 @@ def cmd_suite(args):
         [base_config, config], names, args.length, args.warmup,
         max_workers=args.jobs, job_timeout=args.job_timeout,
         retries=args.retries, keep_going=args.keep_going,
-        sampling=sampling, batch_warm=getattr(args, "batch_warm", None),
-        batch_detail=getattr(args, "batch_detail", None),
-        shards=getattr(args, "shards", None),
+        sampling=sampling, shards=getattr(args, "shards", None),
     )
     _, per_cat, overall = suite_speedup(feature, base)
     rows = [(cat, "%+.2f%%" % ((v - 1) * 100)) for cat, v in per_cat.items()]
@@ -390,19 +386,6 @@ def build_parser():
         p.add_argument("--confidence", type=float, default=None,
                        choices=[0.90, 0.95, 0.99],
                        help="confidence level for the IPC CI (default 0.95)")
-        p.add_argument("--batch-warm", action="store_true", default=None,
-                       help="write missing interval checkpoints through "
-                            "the batched SoA warm engine (one lockstep "
-                            "pass per trace instead of one scalar pass "
-                            "per config; bit-exact with the scalar "
-                            "warmer).  Default: REPRO_BATCH_WARM")
-        p.add_argument("--batch-detail", action="store_true", default=None,
-                       help="run the measurement intervals themselves "
-                            "through the batched detailed core (same-trace "
-                            "intervals advance as lockstep lanes; per-lane "
-                            "results bit-exact with the scalar core; VP/"
-                            "tracing configs fall back to scalar).  "
-                            "Default: REPRO_BATCH_DETAIL")
 
     run_parser = sub.add_parser("run", help="simulate one workload")
     run_parser.add_argument("workload")

@@ -15,47 +15,43 @@ INFINITY = float("inf")
 class PhysicalRegisterFile(object):
     """Physical registers with per-entry ready time and value.
 
-    Event-driven wakeup: when a scheduler attaches itself (see
-    :meth:`attach_scheduler`), each register additionally carries a
-    *wakeup list* — the consumers parked on it while its producer is
-    still executing.  :meth:`write` hands that list to the scheduler the
-    moment a value lands, so completion pushes dependents toward the
-    ready queue instead of the scheduler re-scanning its window.
+    Event-driven wakeup: each register carries a *wakeup list* — the
+    consumers the attached scheduler (see :meth:`attach_scheduler`)
+    parked on it while its producer is still executing.  :meth:`write`
+    hands that list to the scheduler the moment a value lands, so
+    completion pushes dependents toward the ready queue instead of the
+    scheduler re-scanning its window.
     """
 
     def __init__(self, num_entries):
         self.num_entries = num_entries
         self.ready_cycle = [0] * num_entries
         self.value = [0] * num_entries
-        #: Per-register consumer wakeup lists (event-driven mode only).
-        self.waiters = None
+        #: Per-register consumer wakeup lists; only the scheduler fills them.
+        self.waiters = [[] for _ in range(num_entries)]
         self.scheduler = None
 
     def attach_scheduler(self, scheduler):
         """Enable dependency-driven wakeup: completions notify ``scheduler``."""
         self.scheduler = scheduler
-        self.waiters = [[] for _ in range(self.num_entries)]
 
     def mark_pending(self, preg):
         """Mark a newly allocated register as not yet produced."""
         self.ready_cycle[preg] = INFINITY
         self.value[preg] = 0
-        waiters = self.waiters
-        if waiters is not None and waiters[preg]:
+        if self.waiters[preg]:
             # A register only re-enters the free list once every consumer
             # of its previous life has issued or been squashed, so any
             # leftover subscription here is dead weight from a squash.
-            waiters[preg] = []
+            self.waiters[preg] = []
 
     def write(self, preg, value, ready_cycle):
         self.value[preg] = value
         self.ready_cycle[preg] = ready_cycle
-        waiters = self.waiters
-        if waiters is not None:
-            woken = waiters[preg]
-            if woken:
-                waiters[preg] = []
-                self.scheduler.wake_consumers(woken)
+        woken = self.waiters[preg]
+        if woken:
+            self.waiters[preg] = []
+            self.scheduler.wake_consumers(woken)
 
     def is_ready(self, preg, cycle):
         return self.ready_cycle[preg] <= cycle

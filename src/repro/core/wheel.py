@@ -12,9 +12,8 @@ items.  It replaces per-cycle polling of simulator structures with direct
 - the idle-skip analysis asks :attr:`cycles` ``[0]`` — the earliest cycle
   holding any work — instead of rescanning every in-flight instruction.
 
-Items scheduled for the same cycle come back in insertion order, which is
-what keeps the event-driven loop's tie-breaking identical to the legacy
-polled loop (it used a monotonic push counter for the same purpose).
+Items scheduled for the same cycle come back in insertion order, so
+same-cycle ties resolve in schedule order.
 
 The structure is a dict of per-cycle slots plus a min-heap of slot keys:
 ``schedule`` is O(log n) only when it opens a new cycle slot, appends are
@@ -52,8 +51,7 @@ class TimingWheel(object):
     def pop_due(self, cycle):
         """Yield every item scheduled at or before ``cycle``.
 
-        Items come out in (cycle, insertion) order — the same order the
-        legacy heap-with-tiebreak event queue produced.
+        Items come out in (cycle, insertion) order.
         """
         cycles = self.cycles
         slots = self.slots

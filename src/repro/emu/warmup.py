@@ -57,18 +57,6 @@ def reset_warm_pass_count():
     _warm_passes = 0
 
 
-def note_warm_pass():
-    """Count one functional warm pass performed outside this class.
-
-    The batched structure-of-arrays engine (:mod:`repro.emu.batch`) warms
-    lanes without instantiating a :class:`FunctionalWarmer` per lane; it
-    ticks the same counter so the checkpoint layer's "warm once, measure
-    many" accounting holds whichever engine performed the pass.
-    """
-    global _warm_passes
-    _warm_passes += 1
-
-
 class FunctionalWarmer(ArchEmulator):
     """Warms one :class:`~repro.core.core.OOOCore`'s structures in place.
 

@@ -40,7 +40,6 @@ import json
 import os
 import warnings
 
-from repro.core.core import event_loop_env_disabled
 from repro.sim import faults
 from repro.sim.defaults import DEFAULT_LENGTH, DEFAULT_WARMUP
 from repro.sim.envelope import checksum as envelope_checksum
@@ -67,18 +66,14 @@ def config_fingerprint(config):
     """Stable hash of the result schema version plus every field of a
     CoreConfig (incl. nested rfp/vp).
 
-    The ``REPRO_FF`` and ``REPRO_EVENT_LOOP`` kill-switches live outside
-    the config dataclass, yet they change how results are produced — mix
-    them in so full-detail validation runs, two-speed runs, and the two
-    scheduling engines can never share cache entries.  (The engines are
-    bit-exact by construction, but the whole point of keeping the legacy
-    loop for a release is to *prove* that, not assume it.)"""
+    The ``REPRO_FF`` kill-switch lives outside the config dataclass, yet
+    it changes how results are produced — mix it in so full-detail
+    validation runs and two-speed runs can never share cache entries."""
     payload = {
         "schema": SCHEMA_VERSION,
         "cache_format": CACHE_FORMAT,
         "config": dataclasses.asdict(config),
         "ff_env_disabled": fast_forward_env_disabled(),
-        "event_loop_disabled": event_loop_env_disabled(),
     }
     text = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]

@@ -579,8 +579,7 @@ def warm_or_restore(core, workload, config, length, functional, store):
     return "warmed"
 
 
-def ensure_checkpoints(trace, workload, config, length, positions, store,
-                       engine="scalar"):
+def ensure_checkpoints(trace, workload, config, length, positions, store):
     """Write every missing checkpoint among ``positions`` in ONE warm pass.
 
     ``positions`` are functional instruction counts (ascending order not
@@ -590,20 +589,8 @@ def ensure_checkpoints(trace, workload, config, length, positions, store,
     store costs only presence probes — zero functional warms.
 
     ``trace`` may be None; it is built lazily only if a warm is needed.
-    ``engine`` selects who performs the pass: ``"scalar"`` (the
-    :class:`FunctionalWarmer` loop below) or ``"batch"`` (the SoA engine in
-    :mod:`repro.emu.batch` — bit-exact with scalar, and the natural entry
-    point when several configs share this trace; see
-    :func:`ensure_checkpoints_batch` for the multi-job form).
     Returns ``{position: "hit" | "warmed"}``.
     """
-    if engine == "batch":
-        [outcome] = ensure_checkpoints_batch(
-            [(trace, workload, config, length, positions)], store
-        )
-        return outcome
-    if engine != "scalar":
-        raise ValueError("unknown warm engine %r" % (engine,))
     from repro.workloads.suite import build_workload
 
     wanted = sorted({int(p) for p in positions if p > 0})
@@ -638,20 +625,3 @@ def ensure_checkpoints(trace, workload, config, length, positions, store,
                   capture(core, warmer))
         outcome[position] = "warmed"
     return outcome
-
-
-def ensure_checkpoints_batch(jobs, store, width=None, chunk=None):
-    """Batched :func:`ensure_checkpoints`: N warm jobs, one SoA engine run.
-
-    ``jobs`` is a list of ``(trace_or_None, workload, config, length,
-    positions)`` tuples.  Jobs that share a ``(workload, length)`` trace —
-    a config sweep — advance through it in lockstep, and lanes whose
-    configs agree on every cache-relevant field additionally share a
-    single cache/DTLB advance (functional warming has no feedback from
-    predictor state into cache contents, so the split is exact).  Emits
-    byte-identical checkpoint payloads to the scalar path; returns one
-    ``{position: "hit" | "warmed"}`` dict per job, in job order.
-    """
-    from repro.emu.batch import warm_batch
-
-    return warm_batch(jobs, store=store, width=width, chunk=chunk)

@@ -275,7 +275,6 @@ def simulate_interval(
     index=0,
     checkpoint_store="default",
     max_cycles=None,
-    batch_warm=None,
 ):
     """Simulate ONE sampling interval of ``workload`` under ``config``.
 
@@ -349,8 +348,6 @@ def simulate_sampled(
     min_samples=None,
     checkpoint_store="default",
     max_cycles=None,
-    batch_warm=None,
-    batch_detail=None,
 ):
     """Estimate ``workload``'s IPC from ``samples`` short detailed intervals.
 
@@ -370,20 +367,6 @@ def simulate_sampled(
     With ``samples=1`` (and no ``interval_length``) the plan degenerates to
     the standard two-speed single-window run and the result's measured
     counters match :func:`simulate` exactly.
-
-    ``batch_warm`` routes the shared functional pass through the batched
-    SoA engine (:mod:`repro.emu.batch`) instead of the scalar warmer —
-    bit-exact, and faster whenever several positions (or, via
-    :func:`repro.sim.parallel.run_jobs`, several configs) share the trace.
-    ``None`` defers to ``REPRO_BATCH_WARM``.
-
-    ``batch_detail`` runs the measurement intervals themselves through the
-    batched detailed core (:mod:`repro.core.batch_core`): all K intervals
-    advance as lockstep lanes sharing the decoded trace columns, and each
-    lane's result payload is byte-identical to the scalar
-    :func:`simulate_interval` it replaces.  Configs the batched core cannot
-    model (value prediction, tracing, invariant sweeps) silently fall back
-    to the scalar loop.  ``None`` defers to ``REPRO_BATCH_DETAIL``.
     """
     from repro.sim import checkpoint
     from repro.sim.sampling import (
@@ -402,55 +385,13 @@ def simulate_sampled(
     plan = SamplingPlan(config, len(trace), warmup, spec)
     if checkpoint_store == "default":
         checkpoint_store = checkpoint.default_checkpoint_store()
-    if batch_warm is None:
-        from repro.emu.batch import batch_warm_env_enabled
-
-        batch_warm = batch_warm_env_enabled()
     if checkpoint_store is not None:
         checkpoint.ensure_checkpoints(
             trace, name, config, len(trace), plan.checkpoint_positions(),
             checkpoint_store,
-            engine="batch" if batch_warm else "scalar",
         )
-    if batch_detail is None:
-        from repro.core.batch_core import batch_detail_env_enabled
-
-        batch_detail = batch_detail_env_enabled()
-    if batch_detail:
-        from repro.core.batch_core import batch_detail_supported
-
-        batch_detail = batch_detail_supported(config, trace)
-
-    def _stop(datas):
-        """The serial loop's deterministic adaptive-stop rule."""
-        if spec["ci_target"] is None or len(datas) < spec["min_samples"]:
-            return False
-        mean, half = mean_ci([d["ipc"] for d in datas], spec["confidence"])
-        return (half is not None and mean > 0
-                and half <= spec["ci_target"] * mean)
 
     interval_datas = []
-    if batch_detail:
-        from repro.core.batch_core import run_interval_lanes
-
-        outs = run_interval_lanes(
-            trace, name, _category,
-            [{"config": config, "start": plan.starts[i],
-              "measure": plan.measure, "ramp": plan.ramps[i], "index": i}
-             for i in range(plan.samples)],
-            checkpoint_store=checkpoint_store, max_cycles=max_cycles,
-        )
-        # Walk lanes in interval order with the same stop rule the scalar
-        # loop applies, so an adaptive run aggregates the identical subset
-        # (and a lane failure past the stopping point stays invisible,
-        # exactly as the scalar loop never simulates it).
-        for out in outs:
-            if isinstance(out, Exception):
-                raise out
-            interval_datas.append(out.data)
-            if _stop(interval_datas):
-                break
-        return SimResult(aggregate_intervals(interval_datas, spec))
     for i in range(plan.samples):
         interval = simulate_interval(
             trace,
@@ -463,6 +404,13 @@ def simulate_sampled(
             max_cycles=max_cycles,
         )
         interval_datas.append(interval.data)
-        if _stop(interval_datas):
-            break
+        if spec["ci_target"] is not None and \
+                len(interval_datas) >= spec["min_samples"]:
+            # Deterministic adaptive stop: a parallel sweep that simulates
+            # every interval aggregates to the identical subset.
+            mean, half = mean_ci([d["ipc"] for d in interval_datas],
+                                 spec["confidence"])
+            if half is not None and mean > 0 and \
+                    half <= spec["ci_target"] * mean:
+                break
     return SimResult(aggregate_intervals(interval_datas, spec))

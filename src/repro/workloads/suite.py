@@ -195,15 +195,6 @@ def workload_category(name):
     return WORKLOADS[name]
 
 
-def trace_cache_capacity():
-    """The ``REPRO_TRACE_CACHE`` budget (entries) other trace-keyed memos
-    share.  :func:`build_workload` reads it once at import (``lru_cache``
-    is sized at decoration time); derived-column caches like
-    :func:`repro.emu.batch.columns_for` re-read it per miss, so a test can
-    lower the budget with ``monkeypatch.setenv`` and watch evictions."""
-    return _trace_cache_size()
-
-
 def _seed_for(name):
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")

@@ -4,6 +4,7 @@ Each test encodes a microarchitecturally meaningful failure mode this
 reproduction hit; if a refactor re-introduces one, these fail first.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.rfp.prefetch_table import PrefetchTable
@@ -147,3 +148,26 @@ class TestStreamerFrontRobustness:
             if pf.train(0x10, next(late)):
                 fired += 1
         assert fired > 50
+
+
+class TestMshrFullLivelock:
+    """Open defect: under a sustained miss burst the MSHR-full delay is
+    added on top of an already-delayed fill time and compounds, so this
+    generated trace never drains under the baseline core."""
+
+    @pytest.mark.xfail(strict=True, raises=RuntimeError,
+                       reason="MSHR-full delays compound until the core "
+                              "exceeds its cycle limit (ROADMAP item 7)")
+    def test_generated_trace_drains_under_baseline(self):
+        from repro.core.config import baseline
+        from repro.core.core import OOOCore
+        from repro.workloads.generator import WorkloadProfile, generate_trace
+
+        trace = generate_trace(WorkloadProfile(
+            name="prop-detail-25375-2", category="T", seed=25375,
+            length=3000, concurrent=4,
+            kernel_mix={"indirect_gather": 0.5, "copy_stream": 0.3,
+                        "sequential_chase": 0.2},
+        ))
+        core = OOOCore(trace, baseline()).run()
+        assert core.stats.instructions == len(trace)
